@@ -6,7 +6,10 @@ real repetition so pytest-benchmark's statistics mean something — a
 performance-regression net for the allocator's building blocks.
 """
 
+import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,10 @@ from repro.regalloc.matching import min_cost_assignment
 from repro.sim.interp import LaunchConfig
 from repro.sim.sm import SMSimulator
 from repro.sim.trace import generate_warp_traces
+
+SM_GOLDENS = (
+    Path(__file__).resolve().parents[1] / "tests/sim/goldens/sm_corpus.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,15 +119,13 @@ def test_bench_sm_simulation(benchmark):
 
 
 # ----------------------------------------------------------------------
-# The three accelerated seams (ISSUE 6).  One microbench per seam so a
-# future regression localizes to simulator wave, matcher solve, or
-# engine dispatch instead of the whole suite.
+# One microbench per hot seam so a future regression localizes to the
+# simulator wave, matcher solve, or engine dispatch instead of the whole
+# suite.
 # ----------------------------------------------------------------------
-def test_bench_sm_wave_accelerated(benchmark, monkeypatch):
-    """Simulator wave through the flat-array fast path."""
-    if accel.numpy_or_none() is None:
-        pytest.skip("numpy not installed")
-    monkeypatch.setenv("ORION_ACCEL", "numpy")
+def test_bench_sm_wave_accelerated(benchmark):
+    """Simulator wave through the flat SM loop, checked against its golden."""
+    golden = json.loads(SM_GOLDENS.read_text())["GTX680/srad-wave"]["result"]
     module = BENCHMARKS["srad"].build()
     launch = LaunchConfig(grid_blocks=8, block_size=256)
     traces = generate_warp_traces(
@@ -131,16 +136,17 @@ def test_bench_sm_wave_accelerated(benchmark, monkeypatch):
     def run():
         return sim.run(list(traces), warps_per_block=8)
 
-    accelerated = benchmark.pedantic(run, rounds=3, iterations=1)
-    monkeypatch.setenv("ORION_ACCEL", "off")
-    assert sim.run(list(traces), warps_per_block=8).cycles == accelerated.cycles
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.cycles == golden["cycles"]
+    assert result.instructions == golden["instructions"]
+    assert dataclasses.asdict(result.memory) == golden["memory"]
 
 
 def test_bench_matcher_solve_lapjv_40x40(benchmark, monkeypatch):
     """Matcher solve through the LAPJV fast path."""
     if accel.scipy_optimize_or_none() is None:
         pytest.skip("scipy not installed")
-    monkeypatch.setenv("ORION_ACCEL", "numpy")
+    monkeypatch.setenv("ORION_ACCEL", "auto")
     rng = random.Random(7)
     cost = [[float(rng.randint(0, 1000)) for _ in range(40)] for _ in range(40)]
     assign = benchmark(min_cost_assignment, cost)

@@ -932,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate every realized version through the "
                         "allocation-soundness verifier")
     p.add_argument("--timings", action="store_true",
-                   help="print the phase-timer / cache-hit report")
+                   help="print the per-phase span timing / cache-hit report")
     _add_arch(p)
     _add_strategy(p)
     p.set_defaults(func=cmd_compile)

@@ -49,33 +49,35 @@ def format_series(
 
 
 def format_phase_report(
-    timers=None,
+    timings: dict[str, dict] | None = None,
     cache_stats=None,
     title: str = "Compilation phases",
 ) -> str:
-    """Render the pipeline's phase timers plus compile-cache counters.
+    """Render per-phase span timings plus compile-cache counters.
 
-    ``timers`` defaults to the process-wide :data:`repro.perf.TIMERS`;
-    ``cache_stats`` defaults to the default compile cache's counters.
+    ``timings`` maps a span name to ``{"calls", "seconds"}`` and
+    defaults to :func:`repro.obs.spans.span_timings` (the process-wide
+    span metrics); ``cache_stats`` defaults to the default compile
+    cache's counters.
     """
-    from repro.perf import TIMERS, default_cache
+    from repro.obs.spans import span_timings
+    from repro.perf import default_cache
 
-    timers = TIMERS if timers is None else timers
+    timings = span_timings() if timings is None else timings
     cache_stats = default_cache().stats if cache_stats is None else cache_stats
-    snapshot = timers.snapshot()
-    total = sum(stats.seconds for stats in snapshot.values())
+    total = sum(stats["seconds"] for stats in timings.values())
     rows = [
         (
             name,
-            stats.calls,
-            stats.seconds,
-            (100.0 * stats.seconds / total) if total else 0.0,
+            stats["calls"],
+            stats["seconds"],
+            (100.0 * stats["seconds"] / total) if total else 0.0,
         )
         for name, stats in sorted(
-            snapshot.items(), key=lambda item: -item[1].seconds
+            timings.items(), key=lambda item: -item[1]["seconds"]
         )
     ]
-    rows.append(("total", sum(s.calls for s in snapshot.values()), total, 100.0 if total else 0.0))
+    rows.append(("total", sum(s["calls"] for s in timings.values()), total, 100.0 if total else 0.0))
     table = format_table(
         ["phase", "calls", "seconds", "%"],
         [(n, c, f"{s:.3f}", f"{p:.1f}") for n, c, s, p in rows],

@@ -9,7 +9,8 @@ harness:
   text exposition;
 * :mod:`repro.obs.spans` — hierarchical ``with span(...)`` timing that
   emits paired ``SPAN_START``/``SPAN_END`` telemetry events and charges
-  the phase timers exactly once per outermost occurrence;
+  the span metrics (the phase timings) exactly once per outermost
+  occurrence;
 * :mod:`repro.obs.tracefile` — JSONL trace tooling (summary, filter,
   diff, Chrome/Perfetto export, cross-node merge and slow-request
   ranking) behind ``repro trace``;

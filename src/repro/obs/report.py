@@ -84,12 +84,8 @@ def build_bench_report(
 
         metrics_snapshot = get_registry().snapshot()
     from repro import accel
-    from repro.perf.timers import TIMERS
+    from repro.obs.spans import span_timings
 
-    timings = {
-        name: {"calls": stats.calls, "seconds": stats.seconds}
-        for name, stats in sorted(TIMERS.snapshot().items())
-    }
     kernels = []
     for name, report in rows:
         final = report.final_version
@@ -121,7 +117,7 @@ def build_bench_report(
         # Which accelerators were live and where the wall-clock went —
         # the two facts a perf-trajectory comparison needs.
         "accel": accel.accel_info(),
-        "timings": timings,
+        "timings": span_timings(),
     }
     if compile_stats is not None:
         payload["cache"]["compile"] = _cache_payload(compile_stats)

@@ -1,7 +1,7 @@
 """Hierarchical spans: one timing API across compiler, runtime, harness.
 
-``with span("allocate", kernel=...)`` is the successor of the old
-``PhaseTimers.phase`` context manager, with three upgrades:
+``with span("allocate", kernel=...)`` is the one timing API, with
+three properties:
 
 * **trace events** — when a :class:`~repro.runtime.telemetry.TelemetryHub`
   is installed (:func:`use_hub`), every span emits paired
@@ -14,10 +14,13 @@
   suppresses durations).
 * **re-entrancy safety** — a span nested inside a same-named span
   charges nothing extra: only the outermost occurrence per thread
-  charges :data:`repro.perf.timers.TIMERS` and the span metrics, so
-  recursive or re-entered phases no longer double-count.
-* **metrics** — outermost spans also charge ``orion_spans_total`` and
+  charges the span metrics, so recursive or re-entered phases never
+  double-count.
+* **metrics** — outermost spans charge ``orion_spans_total`` and
   ``orion_span_seconds_total`` in the process-wide metrics registry.
+  Those two counters are the only phase-timing store:
+  :func:`span_timings` reads them back for the bench report's
+  ``timings`` and ``repro compile --timings``.
 
 The hub installation is process-global (not thread-local) on purpose:
 the execution engine installs its hub once and spans opened by its
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.obs.metrics import get_registry
-from repro.perf.timers import TIMERS
 
 _hubs: list = []
 _hubs_lock = threading.Lock()
@@ -107,8 +109,8 @@ def span(
 
     ``session`` labels the emitted events (and scopes the span id);
     ``labels`` ride in both the start and end events' data.  ``timer``
-    controls whether the span charges the process-wide phase timers and
-    span metrics (outermost same-named occurrence only).
+    controls whether the span charges the span metrics (outermost
+    same-named occurrence only).
     """
     hub = current_hub()
     stack = _stack()
@@ -137,7 +139,6 @@ def span(
         elapsed = time.perf_counter() - start
         stack.pop()
         if timer and not reentrant:
-            TIMERS.add(name, elapsed)
             registry = get_registry()
             registry.counter(
                 "orion_spans_total", "Completed spans per span name."
@@ -158,3 +159,24 @@ def span(
                 status=status,
                 **labels,
             )
+
+
+def span_timings() -> dict[str, dict]:
+    """``{name: {"calls", "seconds"}}`` per span name, sorted by name.
+
+    Read from ``orion_spans_total`` / ``orion_span_seconds_total`` in
+    the process-wide registry; a point-in-time copy.
+    """
+    registry = get_registry()
+    timings: dict[str, dict] = {}
+    calls = registry.get("orion_spans_total")
+    seconds = registry.get("orion_span_seconds_total")
+    for metric, field in ((calls, "calls"), (seconds, "seconds")):
+        if metric is None:
+            continue
+        for sample in metric.snapshot_samples():
+            stats = timings.setdefault(
+                sample["labels"]["name"], {"calls": 0, "seconds": 0.0}
+            )
+            stats[field] = sample["value"]
+    return dict(sorted(timings.items()))

@@ -253,37 +253,6 @@ def _stack_order(setup, num_colors: int) -> list[int]:
     return stack
 
 
-def _lowest_free_slot(
-    var: Reg,
-    graph: InterferenceGraph,
-    coloring: dict[Reg, int],
-    num_colors: int,
-    align_wide: bool,
-) -> int | None:
-    # One int as the occupancy bitmask: building it is a few shifts per
-    # coloured neighbour, and probing a candidate base is one shift+AND
-    # instead of a per-slot list scan (this is the allocator's hottest
-    # loop; same slots returned as the original list scan).
-    used = 0
-    get = coloring.get
-    for neighbor in graph.neighbors(var):
-        base = get(neighbor)
-        if base is None:
-            continue
-        width = neighbor.width
-        if base + width > num_colors:
-            width = num_colors - base
-            if width <= 0:
-                continue
-        used |= ((1 << width) - 1) << base
-    step = required_alignment(var.width) if align_wide else 1
-    mask = (1 << var.width) - 1
-    for base in range(0, num_colors - var.width + 1, step):
-        if not (used >> base) & mask:
-            return base
-    return None
-
-
 def minimum_registers(
     graph: InterferenceGraph,
     precolored: dict[Reg, int] | None = None,

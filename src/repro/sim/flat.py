@@ -1,19 +1,33 @@
-"""Flattened fast path for the SM timing simulator (``ORION_ACCEL``).
+"""The SM timing loop and the memory-hierarchy model it inlines.
 
-:class:`~repro.sim.sm.SMSimulator` is an event-driven loop: per event it
-pays dataclass attribute walks, a ``FuncUnit`` identity ladder, and —
-for memory events — per-line set-index hashing and MSHR list filtering.
-This module batches each warp's event stream into flat arrays up front
-(unit codes, issue costs, latency deltas, line counts) and precomputes
-every line's cache tag and L1/L2 set index in one vectorized numpy pass,
-so the hot loop is list indexing plus the same heap scheduling.
+:meth:`repro.sim.sm.SMSimulator.run` runs :func:`run_flat`.  Each warp's
+event stream is flattened once into parallel arrays (unit codes, issue
+costs, line counts, address-space codes) and every line's cache tag and
+L1/L2 set index is hashed once; all of it is memoized on the trace
+object, because the gpu-level trace cache hands the same traces to many
+simulations.  The hot loop is then list indexing plus heap scheduling.
 
-The semantics are the reference semantics, replicated operation for
-operation: identical floats, identical LRU/MSHR state evolution,
-identical tie-breaks, so :func:`run_flat` returns byte-identical
-results to ``SMSimulator.run`` — only faster.  The pure loop in
-``sm.py`` stays the reference; dispatch lives there, gated on
-:func:`repro.accel.numpy_or_none`.
+The occupancy↔performance trade-off the paper tunes comes from three
+mechanisms, all modelled here:
+
+* **latency**: an L1 hit costs tens of cycles, DRAM hundreds — few
+  resident warps cannot hide the difference;
+* **cache contention**: the L1 is shared by every resident warp, so
+  raising occupancy shrinks each warp's effective cache slice (real
+  set-associative LRU arrays with a hashed set index, not a probability
+  knob; :class:`~repro.sim.memory.SetAssociativeCache` gives their
+  geometry);
+* **bandwidth**: DRAM serves at most one transaction per
+  ``dram_service_interval`` cycles per SM, so many memory-hungry warps
+  saturate and queue; at most ``max_outstanding_memory`` requests are
+  in flight (the MSHR window), and a request arriving at a full window
+  waits for the earliest outstanding one.
+
+Per paper Section 4.1, the L1/shared split is configurable (Table 3's
+small-cache = 16KB L1 vs large-cache = 48KB L1), and per Section 4.2 the
+Fermi L1 caches global *and* local traffic while Kepler's caches local
+(spill) traffic only — which is why downward tuning pays off more on the
+C2075.
 """
 
 from __future__ import annotations
@@ -37,16 +51,13 @@ from repro.sim.trace import (
     WarpTrace,
 )
 
-# Unit codes (flat-array encoding of the FuncUnit ladder in sm.py) and
-# space codes (what decides L1 participation) are shared with trace.py,
-# whose accelerated tracing path emits the same arrays directly:
+# Unit codes (flat-array encoding of the FuncUnit ladder) and space
+# codes (what decides L1 participation) are shared with trace.py, whose
+# cached tracing path emits the same arrays directly:
 #   _ALU/_MEM/_SMEM/_SFU/_CTRL/_BARRIER;
 #   _SP_GLOBAL (L1 only when arch.l1_caches_global), _SP_LOCAL (spill
 #   traffic: always L1), _SP_OTHER (straight to L2), _SP_SHARED (shared
 #   space routed through a MEM event: fixed latency).
-
-#: tags below this bound keep ``folded * 2654435761`` inside int64
-_VECTOR_TAG_BOUND = 1 << 31
 
 
 def _flatten_trace(trace: WarpTrace):
@@ -89,7 +100,7 @@ def _flatten_trace(trace: WarpTrace):
                 codes.append(_SFU)
             elif unit is FuncUnit.CTRL:
                 codes.append(_CTRL)
-            else:  # ALU and everything else, as in the reference ladder
+            else:  # ALU and everything else (a non-barrier SYNC too)
                 codes.append(_ALU)
             counts.append(0)
             spaces.append(_SP_OTHER)
@@ -99,12 +110,12 @@ def _flatten_trace(trace: WarpTrace):
 
 
 def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
-                 l1_sets: int, l2_sets: int, np):
+                 l1_sets: int, l2_sets: int):
     """Per-occurrence (tags, l1 indices, l2 indices) for a warp's lines.
 
-    Vectorized with numpy when every tag fits the int64-safe hash
-    window; otherwise the reference per-line hash.  Memoized per cache
-    geometry on the trace object.
+    GPU caches hash the set index so power-of-two strides (the norm in
+    GPU address arithmetic) do not collapse onto one set.  Memoized per
+    cache geometry on the trace object.
     """
     key = (line_bytes, l1_sets, l2_sets)
     memo = getattr(trace, "_flat_lines", None)
@@ -114,44 +125,21 @@ def _line_tables(trace: WarpTrace, lines: list[int], line_bytes: int,
     tables = memo.get(key)
     if tables is not None:
         return tables
-    if not lines:
-        tables = ((), (), ())
-        memo[key] = tables
-        return tables
-    tags = None
-    try:
-        arr = np.asarray(lines, dtype=np.int64)
-    except OverflowError:
-        arr = None
-    if arr is not None:
-        t = arr // line_bytes
-        if 0 <= int(t.min()) and int(t.max()) < _VECTOR_TAG_BOUND:
-            folded = t ^ (t >> 7) ^ (t >> 13) ^ (t >> 19)
-            hashed = (folded * 2654435761) >> 8
-            tables = (
-                t.tolist(),
-                (hashed % l1_sets).tolist(),
-                (hashed % l2_sets).tolist(),
-            )
-            memo[key] = tables
-            return tables
-        tags = t.tolist()
-    if tags is None:
-        tags = [line // line_bytes for line in lines]
-    l1_idx = []
-    l2_idx = []
-    for tag in tags:
-        folded = tag ^ (tag >> 7) ^ (tag >> 13) ^ (tag >> 19)
-        hashed = folded * 2654435761 >> 8
-        l1_idx.append(hashed % l1_sets)
-        l2_idx.append(hashed % l2_sets)
-    tables = (tags, l1_idx, l2_idx)
+    tags = [line // line_bytes for line in lines]
+    hashed = [
+        (t ^ (t >> 7) ^ (t >> 13) ^ (t >> 19)) * 2654435761 >> 8 for t in tags
+    ]
+    tables = (
+        tags,
+        [h % l1_sets for h in hashed],
+        [h % l2_sets for h in hashed],
+    )
     memo[key] = tables
     return tables
 
 
-def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
-    """Fast-path equivalent of ``SMSimulator.run`` body (non-empty traces).
+def run_flat(sim, traces: list[WarpTrace], warps_per_block: int):
+    """Simulate ``sim``'s SM over non-empty ``traces``.
 
     Returns ``(cycles, instructions, MemoryStats, issue_stalls,
     barriers)`` — the caller wraps it in ``SMResult``.
@@ -168,7 +156,9 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
         arch.l2_associativity,
     )
     line_bytes = arch.cache_line_bytes
-    l1_ways, l2_ways = l1._sets, l2._sets
+    # Each set: a list of tags, most recently used last.
+    l1_ways = [[] for _ in range(l1.num_sets)]
+    l2_ways = [[] for _ in range(l2.num_sets)]
     l1_assoc, l2_assoc = l1.associativity, l2.associativity
     l1_latency, l2_latency = arch.l1_latency, arch.l2_latency
     dram_latency = arch.dram_latency
@@ -206,7 +196,7 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
     for trace in traces:
         codes, counts, spaces, lines = _flatten_trace(trace)
         tags, l1i, l2i = _line_tables(
-            trace, lines, line_bytes, l1.num_sets, l2.num_sets, np
+            trace, lines, line_bytes, l1.num_sets, l2.num_sets
         )
         # Issue costs depend only on the event stream and three floats,
         # so they are memoized per trace like the line tables (sweeps
@@ -233,17 +223,17 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
         w_l2i.append(l2i)
         nev.append(len(codes))
 
-    # Mutable per-warp state (parallel arrays instead of _Warp objects).
+    # Mutable per-warp state, as parallel arrays.
     pc = [0] * nwarps
     readys = [0.0] * nwarps
     at_bar = [False] * nwarps
     bar_arrival = [0.0] * nwarps
     cursor = [0] * nwarps  # next line-occurrence index per warp
 
-    # Memory-subsystem state: MSHR list kept *sorted* (the reference
-    # keeps insertion order, but every observable — the admit decision,
-    # min in flight, the size-capped truncation — depends only on the
-    # multiset, so a sorted list is behaviourally identical and cheaper).
+    # Memory-subsystem state.  The MSHR list holds completion times of
+    # requests in flight, kept sorted: the admit decision, the earliest
+    # completion and the size cap (past 4x the window, keep only the
+    # latest ``mshr_limit``) depend only on the multiset of times.
     in_flight: list[int] = []
     dram_free = 0
     l1_hits = l1_misses = l2_hits = l2_misses = 0
@@ -385,9 +375,9 @@ def run_flat(sim, traces: list[WarpTrace], warps_per_block: int, np):
                 readys[index] = start + alu_latency
                 cost = w_costs[index][p]
 
-            # Oversubscription swap cost — placed exactly where the
-            # reference loop applies it (after the unit ladder, before
-            # the issue clock advances) so floats stay byte-identical.
+            # Oversubscription swap cost (soft-limit strategies): a
+            # deterministic per-warp surcharge on every interval-th
+            # instruction, modelling a register group swapped back in.
             if swap_interval and (p + 1) % swap_interval == 0:
                 readys[index] += swap_latency
 

@@ -20,7 +20,6 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro import accel
 from repro.arch.occupancy import OccupancyResult
 from repro.arch.specs import CacheConfig, GpuArchitecture
 from repro.ir.function import Module
@@ -39,7 +38,8 @@ class LaunchError(RuntimeError):
     """Raised when a kernel configuration cannot run on the architecture."""
 
 
-#: Per-module warp-trace cache for the accelerated path.  Warp *w*'s
+#: Per-module warp-trace cache, used whenever no ``global_memory`` is
+#: given (initial memory contents can steer control flow).  Warp *w*'s
 #: trace is independent of how many warps are resident, so an occupancy
 #: sweep over the same binary only ever traces each warp once and then
 #: reuses (and incrementally extends) the cached list.  Keyed by module
@@ -164,7 +164,7 @@ def simulate_kernel(
     resident = occ.active_warps if forced_warps is None else forced_warps
     resident = max(warps_per_block, min(resident, total_warps))
 
-    if global_memory is None and accel.accel_mode() != "off":
+    if global_memory is None:
         traces = _cached_traces(
             module,
             kernel_name,

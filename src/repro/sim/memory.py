@@ -1,41 +1,22 @@
-"""Memory-hierarchy timing model: L1/L2 caches and DRAM bandwidth.
+"""Memory-hierarchy geometry and counters for the SM timing model.
 
-The occupancy↔performance trade-off the paper tunes comes from three
-mechanisms, all modelled here:
-
-* **latency**: an L1 hit costs tens of cycles, DRAM hundreds — few
-  resident warps cannot hide the difference;
-* **cache contention**: the L1 is shared by every resident warp, so
-  raising occupancy shrinks each warp's effective cache slice (real
-  set-associative LRU arrays, not a probability knob);
-* **bandwidth**: DRAM serves at most one transaction per
-  ``dram_service_interval`` cycles per SM, so many memory-hungry warps
-  saturate and queue.
-
-Per paper Section 4.1, the L1/shared split is configurable (Table 3's
-small-cache = 16KB L1 vs large-cache = 48KB L1), and per Section 4.2 the
-Fermi L1 caches global *and* local traffic while Kepler's caches local
-(spill) traffic only — which is why downward tuning pays off more on the
-C2075.
+The L1/L2/DRAM timing model itself is inlined in the SM loop
+(:mod:`repro.sim.flat`, where its description lives); this module keeps
+the two pieces it shares with callers: the cache geometry an
+architecture and cache configuration imply, and the per-simulation
+counters reported in :class:`~repro.sim.sm.SMResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.arch.specs import CacheConfig, GpuArchitecture
-from repro.isa.instructions import MemSpace
+from dataclasses import dataclass
 
 
 class SetAssociativeCache:
-    """A timing-only set-associative LRU cache (no data, just tags)."""
+    """Geometry of a set-associative LRU cache (sets × ways of lines)."""
 
     def __init__(
-        self,
-        size_bytes: int,
-        line_bytes: int,
-        associativity: int,
-        hash_sets: bool = True,
+        self, size_bytes: int, line_bytes: int, associativity: int
     ) -> None:
         if size_bytes <= 0 or line_bytes <= 0 or associativity <= 0:
             raise ValueError("cache geometry must be positive")
@@ -43,44 +24,6 @@ class SetAssociativeCache:
         self.associativity = min(associativity, num_lines)
         self.num_sets = max(1, num_lines // self.associativity)
         self.line_bytes = line_bytes
-        # GPU caches hash the set index so power-of-two strides (the
-        # norm in GPU address arithmetic) don't collapse onto one set.
-        self.hash_sets = hash_sets
-        # Each set: list of tags, most recently used last.
-        self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def _set_index(self, line: int) -> int:
-        if not self.hash_sets:
-            return line % self.num_sets
-        folded = line ^ (line >> 7) ^ (line >> 13) ^ (line >> 19)
-        return (folded * 2654435761 >> 8) % self.num_sets
-
-    def access(self, address: int) -> bool:
-        """Touch the line containing ``address``; True on hit."""
-        line = address // self.line_bytes
-        index = self._set_index(line)
-        tag = line
-        ways = self._sets[index]
-        if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        ways.append(tag)
-        if len(ways) > self.associativity:
-            ways.pop(0)
-        return False
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
 
 @dataclass
@@ -99,81 +42,3 @@ class MemoryStats:
     def l1_hit_rate(self) -> float:
         total = self.l1_hits + self.l1_misses
         return self.l1_hits / total if total else 0.0
-
-
-class MemorySubsystem:
-    """Per-SM view of the memory hierarchy with timing."""
-
-    def __init__(
-        self,
-        arch: GpuArchitecture,
-        cache_config: CacheConfig = CacheConfig.SMALL_CACHE,
-    ) -> None:
-        self.arch = arch
-        self.cache_config = cache_config
-        self.l1 = SetAssociativeCache(
-            arch.l1_cache_bytes(cache_config),
-            arch.cache_line_bytes,
-            arch.l1_associativity,
-        )
-        self.l2 = SetAssociativeCache(
-            arch.l2_bytes_per_sm,
-            arch.cache_line_bytes,
-            arch.l2_associativity,
-        )
-        self.stats = MemoryStats()
-        #: completion times of requests currently in flight (MSHR model)
-        self._in_flight: list[int] = []
-        self._dram_free = 0
-
-    # ------------------------------------------------------------------
-    def request(self, address: int, space: MemSpace, now: int) -> int:
-        """Issue one memory transaction; returns its completion cycle."""
-        arch = self.arch
-        if space is MemSpace.SHARED:
-            self.stats.shared_accesses += 1
-            return now + arch.shared_latency
-
-        # L1 participation: local (spill) traffic is always L1-cached;
-        # global traffic only on architectures whose L1 caches globals.
-        use_l1 = space is MemSpace.LOCAL or (
-            space in (MemSpace.GLOBAL, MemSpace.PARAM) and arch.l1_caches_global
-        )
-
-        start = self._admit(now)
-        if use_l1 and self.l1.access(address):
-            self.stats.l1_hits += 1
-            return start + arch.l1_latency
-        if use_l1:
-            self.stats.l1_misses += 1
-
-        if self.l2.access(address):
-            self.stats.l2_hits += 1
-            done = start + arch.l2_latency
-        else:
-            self.stats.l2_misses += 1
-            self.stats.dram_transactions += 1
-            issue = max(start, self._dram_free)
-            self._dram_free = issue + arch.dram_service_interval
-            done = issue + arch.dram_latency
-        self._track(done)
-        return done
-
-    # ------------------------------------------------------------------
-    def _admit(self, now: int) -> int:
-        """Apply the outstanding-request (MSHR) limit."""
-        limit = self.arch.max_outstanding_memory
-        in_flight = [t for t in self._in_flight if t > now]
-        self._in_flight = in_flight
-        if len(in_flight) < limit:
-            return now
-        self.stats.stalled_requests += 1
-        earliest = min(in_flight)
-        return earliest
-
-    def _track(self, completion: int) -> None:
-        self._in_flight.append(completion)
-        # Bound bookkeeping: keep only the most relevant entries.
-        if len(self._in_flight) > 4 * self.arch.max_outstanding_memory:
-            self._in_flight.sort()
-            self._in_flight = self._in_flight[-self.arch.max_outstanding_memory :]

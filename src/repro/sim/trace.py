@@ -83,10 +83,10 @@ _EVENT_BY_OPCODE: dict[Opcode, TraceEvent] = {}
 _SMEM_EVENT = TraceEvent(unit=FuncUnit.SMEM, space=MemSpace.SHARED)
 
 # Flat-encoding codes shared with :mod:`repro.sim.flat` (defined here
-# so the import direction stays trace -> flat acyclic).  The accelerated
-# tracing path emits these arrays alongside the event stream, saving the
-# flattening re-walk; ``repro.sim.flat._flatten_trace`` remains the
-# reference encoder for traces built any other way.
+# so the import direction stays trace -> flat acyclic).  The cached
+# tracing path (``repro.sim.gpu._cached_traces``) emits these arrays
+# alongside the event stream, saving the flattening re-walk;
+# ``repro.sim.flat._flatten_trace`` encodes traces built any other way.
 FLAT_ALU, FLAT_MEM, FLAT_SMEM, FLAT_SFU, FLAT_CTRL, FLAT_BARRIER = range(6)
 FLAT_SP_GLOBAL, FLAT_SP_LOCAL, FLAT_SP_OTHER, FLAT_SP_SHARED = range(4)
 
@@ -215,9 +215,9 @@ def _trace_warp(
 
     local_base = w * line_bytes
 
-    # When collecting for the accelerated simulator, the flat arrays
-    # (see ``repro.sim.flat._flatten_trace``) are emitted here alongside
-    # the event stream, so the simulator never re-walks the events.
+    # When ``collect_flat`` is set, the flat arrays (see
+    # ``repro.sim.flat._flatten_trace``) are emitted here alongside the
+    # event stream, so the simulator never re-walks the events.
     if collect_flat:
         f_codes: list[int] | None = []
         f_counts: list[int] = []
@@ -237,10 +237,10 @@ def _trace_warp(
         _spaces: list[int] | None = f_spaces,
         _lines: list[int] | None = f_lines,
     ) -> None:
-        # Inlined _event_for: ``address is None`` exactly when the
-        # instruction is not a memory op (the interpreter only computes
-        # addresses for memory ops), so non-memory events come from the
-        # per-opcode singleton table without touching func_unit.
+        # ``address is None`` exactly when the instruction is not a
+        # memory op (the interpreter only computes addresses for memory
+        # ops), so non-memory events come from the per-opcode singleton
+        # table without touching func_unit.
         if len(_events) >= max_events_per_warp:
             raise _TraceLimit()
         if address is None:
@@ -315,33 +315,6 @@ def _trace_warp(
     if collect_flat:
         trace._flat = (f_codes, f_counts, f_spaces, f_lines)
     return trace
-
-
-def _event_for(
-    inst: Instruction,
-    address: int | None,
-    traits: MemoryTraits,
-    line_bytes: int,
-    warp_index: int,
-) -> TraceEvent:
-    op = inst.opcode
-    if op is Opcode.BAR:
-        return TraceEvent(unit=FuncUnit.SYNC, barrier=True)
-    if inst.is_memory:
-        assert address is not None and inst.space is not None
-        if inst.space is MemSpace.SHARED:
-            return TraceEvent(unit=FuncUnit.SMEM, space=inst.space)
-        if inst.space is MemSpace.LOCAL:
-            # Hardware interleaves local memory per thread: one warp's
-            # access to slot ``s`` is one (warp-private) cache line at
-            # slot-major, warp-minor layout.
-            line = (address // 4) * 8192 + warp_index * line_bytes
-            return TraceEvent(
-                unit=FuncUnit.MEM, space=inst.space, lines=(line,)
-            )
-        lines = warp_lines(address, inst.space, traits, line_bytes=line_bytes)
-        return TraceEvent(unit=FuncUnit.MEM, space=inst.space, lines=lines)
-    return TraceEvent(unit=inst.func_unit)
 
 
 def trace_summary(traces: list[WarpTrace]) -> dict[str, int]:

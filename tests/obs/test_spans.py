@@ -2,16 +2,26 @@
 
 import pytest
 
-from repro.obs.spans import current_hub, current_span, span, use_hub
-from repro.perf.timers import TIMERS
+from repro.obs.metrics import reset_registry
+from repro.obs.spans import (
+    current_hub,
+    current_span,
+    span,
+    span_timings,
+    use_hub,
+)
 from repro.runtime.telemetry import EventKind, InMemorySink, TelemetryHub
 
 
 @pytest.fixture(autouse=True)
 def fresh_timers():
-    TIMERS.reset()
+    reset_registry()
     yield
-    TIMERS.reset()
+    reset_registry()
+
+
+def calls(name):
+    return span_timings()[name]["calls"]
 
 
 def hub_with_sink(**kwargs):
@@ -23,7 +33,7 @@ class TestTimerCharging:
     def test_outermost_span_charges_timers_once(self):
         with span("alpha"):
             pass
-        assert TIMERS.phases["alpha"].calls == 1
+        assert calls("alpha") == 1
 
     def test_reentrant_same_name_charges_only_outermost(self):
         """The old ``phase()`` double-counted this exact shape."""
@@ -31,24 +41,23 @@ class TestTimerCharging:
             with span("alpha"):
                 with span("alpha"):
                     pass
-        assert TIMERS.phases["alpha"].calls == 1
+        assert calls("alpha") == 1
 
     def test_distinct_names_both_charge(self):
         with span("alpha"):
             with span("beta"):
                 pass
-        assert TIMERS.phases["alpha"].calls == 1
-        assert TIMERS.phases["beta"].calls == 1
+        assert calls("alpha") == 1
+        assert calls("beta") == 1
 
     def test_timer_false_charges_nothing(self):
         with span("alpha", timer=False):
             pass
-        assert "alpha" not in TIMERS.phases
+        assert "alpha" not in span_timings()
 
     def test_outermost_also_charges_span_metrics(self):
-        from repro.obs.metrics import get_registry, reset_registry
+        from repro.obs.metrics import get_registry
 
-        reset_registry()
         with span("alpha"):
             with span("alpha"):
                 pass
@@ -61,7 +70,7 @@ class TestHubEvents:
         assert current_hub() is None
         with span("alpha"):
             pass
-        assert TIMERS.phases["alpha"].calls == 1
+        assert calls("alpha") == 1
 
     def test_emits_paired_start_end_with_labels(self):
         hub, sink = hub_with_sink()

@@ -1,4 +1,4 @@
-"""Unit tests for the perf subsystem: compile cache and phase timers."""
+"""Unit tests for the perf subsystem: compile cache and phase timings."""
 
 import os
 
@@ -13,7 +13,8 @@ from repro.perf.cache import (
     default_cache,
     reset_default_cache,
 )
-from repro.perf.timers import PhaseTimers
+from repro.obs.metrics import get_registry, reset_registry
+from repro.obs.spans import span, span_timings
 
 
 class TestCacheKey:
@@ -109,44 +110,57 @@ class TestDiskTier:
             reset_default_cache()
 
 
+@pytest.fixture
+def fresh_registry():
+    reset_registry()
+    yield
+    reset_registry()
+
+
 class TestTimers:
-    def test_add_accumulates(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 0.25)
-        timers.add("alpha", 0.25)
-        timers.add("beta", 1.5)
-        assert timers.phases["alpha"].calls == 2
-        assert timers.phases["alpha"].seconds == pytest.approx(0.5)
-        assert timers.phases["beta"].seconds == pytest.approx(1.5)
-        assert timers.total_seconds() == pytest.approx(2.0)
+    """Phase timings are read back from the span metrics."""
 
-    def test_snapshot_is_a_copy(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 1.0)
-        snap = timers.snapshot()
-        timers.add("alpha", 1.0)
-        assert snap["alpha"].seconds == pytest.approx(1.0)
+    def test_add_accumulates(self, fresh_registry):
+        for name in ("alpha", "alpha", "beta"):
+            with span(name):
+                pass
+        timings = span_timings()
+        assert timings["alpha"]["calls"] == 2
+        assert timings["beta"]["calls"] == 1
+        seconds = get_registry().get("orion_span_seconds_total")
+        assert timings["alpha"]["seconds"] == seconds.value(name="alpha")
+        assert list(timings) == ["alpha", "beta"]
 
-    def test_reset(self):
-        timers = PhaseTimers()
-        timers.add("alpha", 1.0)
-        timers.reset()
-        assert timers.phases == {}
+    def test_snapshot_is_a_copy(self, fresh_registry):
+        with span("alpha"):
+            pass
+        snap = span_timings()
+        with span("alpha"):
+            pass
+        assert snap["alpha"]["calls"] == 1
+        assert span_timings()["alpha"]["calls"] == 2
+
+    def test_reset(self, fresh_registry):
+        with span("alpha"):
+            pass
+        reset_registry()
+        assert span_timings() == {}
 
 
 class TestPhaseReport:
     def test_renders_timers_and_cache_counters(self):
-        timers = PhaseTimers()
-        timers.add("tuning", 2.0)
-        timers.add("front_end", 0.5)
+        timings = {
+            "front_end": {"calls": 1, "seconds": 0.5},
+            "tuning": {"calls": 1, "seconds": 2.0},
+        }
         cache = CompileCache()
         cache.store("ee" * 32, b"x")
         cache.lookup("ee" * 32)
-        report = format_phase_report(timers, cache.stats)
+        report = format_phase_report(timings, cache.stats)
         assert "tuning" in report
         assert "hit rate 100.0%" in report
         assert report.index("tuning") < report.index("front_end")  # sorted
 
     def test_empty_timers_render(self):
-        report = format_phase_report(PhaseTimers(), CompileCache().stats)
+        report = format_phase_report({}, CompileCache().stats)
         assert "total" in report

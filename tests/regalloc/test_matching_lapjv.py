@@ -61,7 +61,7 @@ def _finite_matrix(min_rows=1, max_rows=8, extra_cols=0):
 
 def _check_equivalent(cost):
     reference = _min_cost_assignment_pure(cost)
-    with _forced_mode("numpy"):
+    with _forced_mode("auto"):
         fast = min_cost_assignment(cost)
     n = len(cost)
     assert sorted(fast) == sorted(set(fast)), "fast path reused a column"
@@ -100,14 +100,14 @@ def test_matrices_with_forbidden_entries(cost, data):
     try:
         reference = _min_cost_assignment_pure(cost)
     except ValueError as exc:
-        with _forced_mode("numpy"):
+        with _forced_mode("auto"):
             with pytest.raises(ValueError) as caught:
                 min_cost_assignment(cost)
         assert str(caught.value) == str(exc)
         return
     # Optimal-but-tied assignments may differ; costs may not.  The
     # infeasible guard means any returned assignment is all-finite.
-    with _forced_mode("numpy"):
+    with _forced_mode("auto"):
         fast = min_cost_assignment(cost)
     assert all(cost[i][j] < INFINITY for i, j in enumerate(fast))
     assert assignment_weight(cost, fast) == assignment_weight(cost, reference)
@@ -118,7 +118,7 @@ def test_infeasible_error_message_matches_reference():
     with _forced_mode("off"):
         with pytest.raises(ValueError) as pure_err:
             min_cost_assignment(cost)
-    with _forced_mode("numpy"):
+    with _forced_mode("auto"):
         with pytest.raises(ValueError) as fast_err:
             min_cost_assignment(cost)
     assert "infeasible assignment: row 0" in str(pure_err.value)
@@ -128,7 +128,7 @@ def test_infeasible_error_message_matches_reference():
 def test_validation_errors_identical_across_modes():
     ragged = [[1.0, 2.0], [3.0]]
     tall = [[1.0], [2.0]]
-    for mode in ("off", "numpy"):
+    for mode in ("off", "auto"):
         with _forced_mode(mode):
             with pytest.raises(ValueError, match="unequal lengths"):
                 min_cost_assignment(ragged)
@@ -141,7 +141,7 @@ def test_off_mode_uses_pure_solver_result():
     cost = [[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]]
     with _forced_mode("off"):
         off = min_cost_assignment(cost)
-    with _forced_mode("numpy"):
+    with _forced_mode("auto"):
         fast = min_cost_assignment(cost)
     assert off == _min_cost_assignment_pure(cost)
     assert assignment_weight(cost, fast) == assignment_weight(cost, off)

@@ -5,8 +5,8 @@ warps than the register file physically backs; the simulator charges a
 deterministic per-interval latency for the implied register swapping.
 These tests pin the contract: the reference strategies never pay the
 surcharge, the soft strategy pays it exactly when registers overflow,
-and the charge is identical between the pure-Python and vectorized
-simulator loops (the accelerator-identity invariant).
+and the charge is deterministic.  The surcharge's exact cycle effect is
+pinned by the ``swap`` cases of the SM goldens (``tests/sim/goldens``).
 """
 
 import pytest
